@@ -55,7 +55,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "iteration scale")
 	norm := flag.Bool("normalized", false, "also report runtime normalized to baseline")
 	seed := flag.Int64("seed", 42, "external-nondeterminism seed")
-	eventCap := flag.Int("eventcap", 0, "per-thread event list size (0 = default)")
+	eventCap := flag.Int("eventcap", 0, "with -flight: per-thread event list size (0 = default)")
 	flightN := flag.Int("flight", 0,
 		"flight-recorder mode: retain roughly the last N epochs in a bounded on-disk ring, spilling a replayable suffix to -flight-dir on fault or signal (0 = off)")
 	flightDir := flag.String("flight-dir", "traces", "trace store the flight recorder spills into")
@@ -71,6 +71,15 @@ func main() {
 		os.Exit(2)
 	}
 	logger := obs.NewLogger(os.Stderr, level, *logJSON)
+	flag.Visit(func(f *flag.Flag) {
+		// Only the flight recorder builds its own runtime; every other mode
+		// runs the harness default, so the flag would silently do nothing.
+		if f.Name == "eventcap" && *flightN <= 0 {
+			fmt.Fprintln(os.Stderr, "ir-run: -eventcap requires -flight")
+			flag.Usage()
+			os.Exit(2)
+		}
+	})
 
 	if *asmFile != "" {
 		if err := runAsm(*asmFile, *replay); err != nil {
@@ -153,8 +162,8 @@ func runFlight(logger *slog.Logger, spec workloads.Spec, dir, name string, retai
 	defer stop()
 	rt, err := core.New(mod, core.Options{
 		Seed: seed, EventCap: eventCap,
-		FlightRecorder: rec,
-		Interrupt:      ctx.Err,
+		TraceSink: rec.RecordEpoch, CheckpointSink: rec.RecordCheckpoint,
+		Interrupt: ctx.Err,
 	})
 	if err != nil {
 		return err

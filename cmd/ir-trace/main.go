@@ -129,7 +129,7 @@ func cmdRecord(args []string) error {
 	keyEvery := fs.Int("keyframe-every", 0,
 		"make every K-th checkpoint frame a full-image keyframe (0 = writer default)")
 	compress := fs.Bool("compress", false,
-		"deflate epoch and checkpoint frame bodies as they are written (format v4)")
+		"deflate epoch and checkpoint frame bodies as they are written")
 	flightN := fs.Int("flight", 0,
 		"flight-recorder mode: retain roughly the last N epochs in a bounded ring and store only that suffix (0 = record the whole run)")
 	fs.Parse(args)
@@ -222,10 +222,9 @@ func cmdReplay(args []string) error {
 			fmt.Printf("%-24s FAILED: %v\n", r.Name, r.Err)
 		}
 	}
-	fmt.Printf("batch: %d/%d matched, %d events replayed, work=%v elapsed=%v (x%.1f)\n",
+	fmt.Printf("batch: %d/%d matched, %d events replayed, work=%v elapsed=%v\n",
 		stats.Matched, stats.Jobs, stats.Events,
-		stats.Work.Round(time.Millisecond), stats.Elapsed.Round(time.Millisecond),
-		float64(stats.Work)/float64(stats.Elapsed+1))
+		stats.Work.Round(time.Millisecond), stats.Elapsed.Round(time.Millisecond))
 	if stats.Failed > 0 {
 		return fmt.Errorf("%d replay(s) failed to match", stats.Failed)
 	}
@@ -250,10 +249,9 @@ func replaySegments(job trace.Job, workers int) error {
 			fmt.Printf("%-28s FAILED: %v\n", r.Name, r.Err)
 		}
 	}
-	fmt.Printf("segments: %d/%d stitched, %d events replayed, work=%v elapsed=%v (x%.1f)\n",
+	fmt.Printf("segments: %d/%d stitched, %d events replayed, work=%v elapsed=%v\n",
 		stats.Matched, stats.Jobs, stats.Events,
-		stats.Work.Round(time.Millisecond), stats.Elapsed.Round(time.Millisecond),
-		float64(stats.Work)/float64(stats.Elapsed+1))
+		stats.Work.Round(time.Millisecond), stats.Elapsed.Round(time.Millisecond))
 	if err != nil {
 		return fmt.Errorf("segment replay: %w", err)
 	}
@@ -394,10 +392,9 @@ func cmdAnalyze(args []string) error {
 					at.Merge.Round(time.Microsecond))
 			}
 		}
-		fmt.Printf("batch: %d/%d analyzed, %d events re-executed, work=%v elapsed=%v (x%.1f)\n",
+		fmt.Printf("batch: %d/%d analyzed, %d events re-executed, work=%v elapsed=%v\n",
 			stats.Matched, stats.Jobs, stats.Events,
-			stats.Work.Round(time.Millisecond), stats.Elapsed.Round(time.Millisecond),
-			float64(stats.Work)/float64(stats.Elapsed+1))
+			stats.Work.Round(time.Millisecond), stats.Elapsed.Round(time.Millisecond))
 	}
 	if stats.Failed > 0 {
 		return fmt.Errorf("%d analysis replay(s) failed to match", stats.Failed)

@@ -490,15 +490,8 @@ func perfRing(rep *PerfReport, scale float64) error {
 	if err != nil {
 		return err
 	}
-	var directEvents int64
-	sink := w.Sink()
-	opts := core.Options{Seed: 7, EventCap: 24, CheckpointEvery: 1}
-	opts.TraceSink = func(ep *record.EpochLog) error {
-		directEvents += int64(ep.EventCount())
-		return sink(ep)
-	}
-	opts.CheckpointSink = w.CheckpointSink()
-	rt, err := core.New(mod, opts)
+	rt, err := core.New(mod, core.Options{Seed: 7, EventCap: 24, CheckpointEvery: 1,
+		TraceSink: w.Sink(), CheckpointSink: w.CheckpointSink()})
 	if err != nil {
 		return err
 	}
@@ -519,7 +512,7 @@ func perfRing(rep *PerfReport, scale float64) error {
 		Name:         "ring-overhead/direct",
 		Ops:          1,
 		NsPerOp:      directWall.Nanoseconds(),
-		EventsPerSec: perSec(directEvents, directWall),
+		EventsPerSec: perSec(rt.StatsSnapshot().EventsRecorded, directWall),
 	})
 
 	// Ring arm: the same streams feed the bounded ring, which also pays
@@ -533,13 +526,8 @@ func perfRing(rep *PerfReport, scale float64) error {
 		return err
 	}
 	defer rec.Close()
-	var ringEvents int64
-	ropts := core.Options{Seed: 7, EventCap: 24, CheckpointEvery: 1, FlightRecorder: rec}
-	ropts.TraceSink = func(ep *record.EpochLog) error {
-		ringEvents += int64(ep.EventCount())
-		return nil
-	}
-	rrt, err := core.New(mod, ropts)
+	rrt, err := core.New(mod, core.Options{Seed: 7, EventCap: 24, CheckpointEvery: 1,
+		TraceSink: rec.RecordEpoch, CheckpointSink: rec.RecordCheckpoint})
 	if err != nil {
 		return err
 	}
@@ -553,7 +541,7 @@ func perfRing(rep *PerfReport, scale float64) error {
 		Name:         "ring-overhead/ring",
 		Ops:          1,
 		NsPerOp:      ringWall.Nanoseconds(),
-		EventsPerSec: perSec(ringEvents, ringWall),
+		EventsPerSec: perSec(rrt.StatsSnapshot().EventsRecorded, ringWall),
 	})
 	return nil
 }

@@ -11,15 +11,16 @@ package core
 // cost of a single divergence retry — proportional to the whole trace.
 //
 // This file exports the checkpoint so the trace layer can persist it
-// (Options.CheckpointEvery / Options.CheckpointSink, trace format v2), and
-// implements the inverse: PrepareReplayAt rebuilds a runtime *mid-trace*
-// from a persisted checkpoint, so one long trace becomes independently
-// replayable segments whose divergence retries roll back to the segment
-// start — the paper's in-situ replay bound, recovered offline. A segment's
-// end is pinned by the next checkpoint's per-thread instruction counts
-// (interp.CPU.SetBoundary): each thread stops exactly where the recording's
-// boundary caught it, which is what makes the segment's final memory image
-// byte-comparable against the next checkpoint (the stitching check).
+// (Options.CheckpointEvery / Options.CheckpointSink, the trace checkpoint
+// frame), and implements the inverse: PrepareReplayAt rebuilds a runtime
+// *mid-trace* from a persisted checkpoint, so one long trace becomes
+// independently replayable segments whose divergence retries roll back to
+// the segment start — the paper's in-situ replay bound, recovered offline.
+// A segment's end is pinned by the next checkpoint's per-thread
+// instruction counts (interp.CPU.SetBoundary): each thread stops exactly
+// where the recording's boundary caught it, which is what makes the
+// segment's final memory image byte-comparable against the next checkpoint
+// (the stitching check).
 
 import (
 	"errors"
@@ -142,10 +143,7 @@ func (rt *Runtime) captureCheckpoint() *Checkpoint {
 // checkpointDue reports whether the epoch that just began should be
 // persisted: every CheckpointEvery completed epochs.
 func (rt *Runtime) checkpointDue() bool {
-	if rt.opts.CheckpointSink == nil && rt.opts.FlightRecorder == nil {
-		return false
-	}
-	if rt.opts.CheckpointEvery <= 0 || rt.opts.DisableRecording {
+	if rt.opts.CheckpointSink == nil || rt.opts.DisableRecording {
 		return false
 	}
 	return (rt.epochSeq-1)%int64(rt.opts.CheckpointEvery) == 0
@@ -197,7 +195,6 @@ func PrepareReplayAt(mod *tir.Module, start *Checkpoint, epochs []*record.EpochL
 	opts.OnEpochEnd = nil
 	opts.OnReplayMatched = nil
 	opts.CheckpointSink = nil
-	opts.FlightRecorder = nil
 	opts.DisableRecording = false
 	rt, err := New(mod, opts)
 	if err != nil {

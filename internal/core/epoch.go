@@ -411,27 +411,34 @@ func (rt *Runtime) mainExited() bool {
 	return t != nil && t.state.Load() == tsExited
 }
 
-// flushTraceSink hands the closing epoch's finalized log to the configured
-// trace sink. It runs while the world is quiescent, after any tool-driven
-// replays matched (a matched replay leaves the lists holding exactly the
-// recorded events) and before beginEpoch's housekeeping clears them.
+// flushTraceSink counts the closing epoch's events and hands its finalized
+// log to the trace sink, if any. It runs while the world is quiescent,
+// after any tool-driven replays matched (a matched replay leaves the lists
+// holding exactly the recorded events) and before beginEpoch's
+// housekeeping clears them.
 func (rt *Runtime) flushTraceSink(reason StopReason) error {
-	if rt.opts.DisableRecording || (rt.opts.TraceSink == nil && rt.opts.FlightRecorder == nil) {
+	if rt.opts.DisableRecording {
 		return nil
 	}
-	// One capture feeds both consumers; the log is immutable once built.
-	ep := rt.captureEpochLog(reason)
-	if rt.opts.TraceSink != nil {
-		if err := rt.opts.TraceSink(ep); err != nil {
-			return err
+	rt.stats.EventsRecorded += rt.epochEventCount()
+	if rt.opts.TraceSink == nil {
+		return nil
+	}
+	return rt.opts.TraceSink(rt.captureEpochLog(reason))
+}
+
+// epochEventCount sums the closing epoch's per-thread list lengths over the
+// threads captureEpochLog would include.
+func (rt *Runtime) epochEventCount() int64 {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	var n int64
+	for _, t := range rt.threads {
+		if t != nil && t.state.Load() != tsDead {
+			n += int64(t.list.Len())
 		}
 	}
-	if rt.opts.FlightRecorder != nil {
-		if err := rt.opts.FlightRecorder.RecordEpoch(ep); err != nil {
-			return fmt.Errorf("core: flight recorder: %w", err)
-		}
-	}
-	return nil
+	return n
 }
 
 // captureEpochLog deep-copies the epoch's per-thread and per-variable lists
@@ -535,18 +542,9 @@ func (rt *Runtime) beginEpoch() error {
 	rt.takeCheckpoint()
 	if rt.checkpointDue() {
 		// Export while still quiescent: the VFS capture and the shared
-		// snapshot must not race resumed threads. One capture feeds both the
-		// checkpoint sink and the flight recorder.
-		ck := rt.captureCheckpoint()
-		if rt.opts.CheckpointSink != nil {
-			if err := rt.opts.CheckpointSink(ck); err != nil {
-				return fmt.Errorf("core: checkpoint sink: %w", err)
-			}
-		}
-		if rt.opts.FlightRecorder != nil {
-			if err := rt.opts.FlightRecorder.RecordCheckpoint(ck); err != nil {
-				return fmt.Errorf("core: flight recorder: %w", err)
-			}
+		// snapshot must not race resumed threads.
+		if err := rt.opts.CheckpointSink(rt.captureCheckpoint()); err != nil {
+			return fmt.Errorf("core: checkpoint sink: %w", err)
 		}
 	}
 	rt.stopMu.Lock()

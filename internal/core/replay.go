@@ -112,7 +112,6 @@ func prepareReplayFlat(mod *tir.Module, fl *record.Flat, opts Options, preVars [
 	opts.OnEpochEnd = nil
 	opts.OnReplayMatched = nil
 	opts.CheckpointSink = nil
-	opts.FlightRecorder = nil
 	opts.DisableRecording = false
 	rt, err := New(mod, opts)
 	if err != nil {

@@ -53,6 +53,10 @@ type Options struct {
 	// recorded schedule; tools may request another Replay (§4.1: more than
 	// four watchpoints) or Abort.
 	OnReplayMatched func(rt *Runtime, attempts int) Decision
+	// TraceSink and CheckpointSink are the recording's one output surface:
+	// a trace.Writer (Writer.Sink, Writer.CheckpointSink) and a flight ring
+	// (flight.Recorder.RecordEpoch, RecordCheckpoint) attach the same way.
+	//
 	// TraceSink, when set, receives every epoch's finalized event log at the
 	// epoch boundary, after any tool-driven replays have resolved and before
 	// the lists are cleared for the next epoch — the hand-off point between
@@ -62,8 +66,8 @@ type Options struct {
 	TraceSink func(*record.EpochLog) error
 	// CheckpointEvery, with CheckpointSink set, persists the epoch-boundary
 	// checkpoint the runtime already takes every N completed epochs: the
-	// sink receives the state at the beginning of epochs N+1, 2N+1, … Zero
-	// disables checkpoint persistence.
+	// sink receives the state at the beginning of epochs N+1, 2N+1, … With
+	// a CheckpointSink attached, CheckpointEvery <= 0 means every epoch.
 	CheckpointEvery int
 	// CheckpointSink receives the exported checkpoint (memory snapshot,
 	// allocator metadata, thread contexts, shadow synchronization state,
@@ -72,15 +76,6 @@ type Options struct {
 	// is immutable; the sink may retain it. A sink error terminates the run.
 	// Ignored with DisableRecording; ignored by the replay constructors.
 	CheckpointSink func(*Checkpoint) error
-	// FlightRecorder, when set, receives the recording stream alongside the
-	// sinks above: every finalized epoch log at the epoch boundary and the
-	// checkpoint at the CheckpointEvery cadence (the flight recorder needs
-	// checkpoints to trim its ring, so an unset CheckpointEvery defaults to
-	// 1 when a recorder is attached — every epoch begins with one). The
-	// bounded in-memory/on-disk ring behind it lives in internal/flight;
-	// core only feeds it. An error terminates the run like a sink error.
-	// Ignored with DisableRecording; ignored by the replay constructors.
-	FlightRecorder FlightSink
 	// Interrupt, when set, lets a caller cancel a run in flight: it is
 	// polled at gated points (thread interception sites and quiescent
 	// boundaries) and the first non-nil error it returns becomes the run's
@@ -116,16 +111,6 @@ type Options struct {
 	Span *obs.Span
 }
 
-// FlightSink is the surface a flight recorder presents to the runtime: the
-// same epoch and checkpoint streams TraceSink/CheckpointSink carry, behind
-// one attachable value (Options.FlightRecorder). The logs and checkpoints
-// are the same immutable copies the plain sinks receive; the recorder may
-// retain them.
-type FlightSink interface {
-	RecordEpoch(*record.EpochLog) error
-	RecordCheckpoint(*Checkpoint) error
-}
-
 func (o *Options) fill() {
 	if o.Mem.MaxThreads == 0 {
 		o.Mem = mem.DefaultConfig()
@@ -136,9 +121,7 @@ func (o *Options) fill() {
 	if o.VarCap == 0 {
 		o.VarCap = 8192
 	}
-	if o.FlightRecorder != nil && o.CheckpointEvery <= 0 {
-		// A flight ring trims at checkpoints; without a cadence it could
-		// never discard anything.
+	if o.CheckpointSink != nil && o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 1
 	}
 }
@@ -151,7 +134,9 @@ type Stats struct {
 	MatchedReplays     int64
 	Divergences        int64
 	LastReplayAttempts int
-	EventsRecorded     int64
+	// EventsRecorded counts the events of every epoch the recording kept
+	// (flushed at its boundary), whether or not a TraceSink is attached.
+	EventsRecorded int64
 	// QuiescenceNS is the cumulative time the coordinator spent waiting for
 	// the world to quiesce at epoch boundaries (including replay retries).
 	QuiescenceNS int64

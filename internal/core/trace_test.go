@@ -148,6 +148,38 @@ func TestTraceSinkErrorAbortsRun(t *testing.T) {
 	}
 }
 
+// TestEventsRecordedCountsFlushedEpochs: on a multi-epoch run,
+// Stats.EventsRecorded is the sum of the event counts of the epochs the
+// TraceSink received, and the same run without a sink keeps the same count.
+func TestEventsRecordedCountsFlushedEpochs(t *testing.T) {
+	run := func(sink func(*record.EpochLog) error) Stats {
+		t.Helper()
+		rt, err := New(buildCounter(2, 8), Options{EventCap: 16, TraceSink: sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return rt.StatsSnapshot()
+	}
+	var epochs, sum int64
+	withSink := run(func(ep *record.EpochLog) error {
+		epochs++
+		sum += int64(ep.EventCount())
+		return nil
+	})
+	if epochs < 2 {
+		t.Fatalf("run flushed %d epochs, want a multi-epoch run", epochs)
+	}
+	if withSink.EventsRecorded != sum {
+		t.Fatalf("EventsRecorded = %d with a sink, sink received %d events", withSink.EventsRecorded, sum)
+	}
+	if without := run(nil); sum == 0 || without.EventsRecorded != sum {
+		t.Fatalf("EventsRecorded = %d without a sink, want %d (non-zero)", without.EventsRecorded, sum)
+	}
+}
+
 var errSinkBoom = &sinkErr{}
 
 type sinkErr struct{}

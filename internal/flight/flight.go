@@ -76,10 +76,12 @@ func (rf *ringFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Recorder is the core.FlightSink implementation. Attach it via
-// core.Options.FlightRecorder; it is safe for the single-threaded sink
-// call pattern core guarantees (sinks run while the world is quiescent)
-// and additionally locks so Spill may be called from a signal handler
+// Recorder is a recording sink. Attach it through the same two fields a
+// trace.Writer uses (core.Options.TraceSink = RecordEpoch,
+// CheckpointSink = RecordCheckpoint; CheckpointEvery may stay unset, which
+// checkpoints every epoch). It is safe for the single-threaded sink call
+// pattern core guarantees (sinks run while the world is quiescent) and
+// additionally locks so Spill may be called from a signal handler
 // goroutine while the run is mid-epoch.
 type Recorder struct {
 	mu sync.Mutex
@@ -144,7 +146,7 @@ func (r *Recorder) Epochs() int {
 }
 
 // RecordEpoch appends one epoch frame and rotates the ring if it grew past
-// twice the retention target (core.FlightSink).
+// twice the retention target (core.Options.TraceSink).
 func (r *Recorder) RecordEpoch(ep *record.EpochLog) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -158,8 +160,9 @@ func (r *Recorder) RecordEpoch(ep *record.EpochLog) error {
 	return r.maybeRotateLocked()
 }
 
-// RecordCheckpoint appends one checkpoint frame (core.FlightSink),
-// remembering keyframes as rotation cut points.
+// RecordCheckpoint appends one checkpoint frame
+// (core.Options.CheckpointSink), remembering keyframes as rotation cut
+// points.
 func (r *Recorder) RecordCheckpoint(ck *core.Checkpoint) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -25,8 +25,10 @@ func flightSpec(t testing.TB, name string, scale float64) workloads.Spec {
 }
 
 // recordWithFlight runs spec with a flight recorder of the given retention
-// attached and returns the recorder, the store, the module, and the run's
-// report. The recorder is left open; callers spill, salvage, or close it.
+// attached through the two sink fields, and returns the recorder, the
+// store, the module, and the run's report. opts.CheckpointEvery is passed
+// through as given (unset: the every-epoch default). The recorder is left
+// open; callers spill, salvage, or close it.
 func recordWithFlight(t *testing.T, spec workloads.Spec, opts core.Options, retain int) (*Recorder, *trace.Store, *tir.Module, *core.Report) {
 	t.Helper()
 	mod, err := spec.Build()
@@ -48,7 +50,7 @@ func recordWithFlight(t *testing.T, spec workloads.Spec, opts core.Options, reta
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.FlightRecorder = rec
+	opts.TraceSink, opts.CheckpointSink = rec.RecordEpoch, rec.RecordCheckpoint
 	rt, err := core.New(mod, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -127,12 +129,17 @@ func TestRingSpillSuffixReplays(t *testing.T) {
 
 // TestRingStaysBounded: the ring file holds at most twice the retention
 // target of epochs however long the run, and its current contents always
-// decode as a clean trace prefix.
+// decode as a clean trace prefix. CheckpointEvery is left unset: a
+// CheckpointSink without a cadence gets a checkpoint every epoch, which is
+// what lets the ring trim.
 func TestRingStaysBounded(t *testing.T) {
 	spec := flightSpec(t, "streamcluster", 0.5)
-	rec, _, _, _ := recordWithFlight(t, spec, core.Options{Seed: 9, EventCap: 24}, 2)
+	rec, _, _, rep := recordWithFlight(t, spec, core.Options{Seed: 9, EventCap: 24}, 2)
 	defer rec.Close()
 
+	if rep.Stats.Epochs <= 4 {
+		t.Fatalf("run recorded %d epochs; too short to outgrow the ring", rep.Stats.Epochs)
+	}
 	if got := rec.Epochs(); got < 2 || got > 4 {
 		t.Fatalf("ring retains %d epochs, want within [2,4]", got)
 	}
@@ -148,7 +155,11 @@ func TestRingStaysBounded(t *testing.T) {
 	if len(tr.Epochs) != rec.Epochs() {
 		t.Fatalf("ring file decodes %d epochs, recorder says %d", len(tr.Epochs), rec.Epochs())
 	}
-	if len(tr.Checkpoints) == 0 || tr.Checkpoints[0].Epoch() != tr.Epochs[0].Epoch {
+	if len(tr.Checkpoints) != len(tr.Epochs) {
+		t.Fatalf("ring holds %d checkpoints for %d epochs, want one per epoch",
+			len(tr.Checkpoints), len(tr.Epochs))
+	}
+	if tr.Checkpoints[0].Epoch() != tr.Epochs[0].Epoch {
 		t.Fatalf("rotated ring does not begin at a checkpoint (first ckpt %v, first epoch %d)",
 			tr.Checkpoints, tr.Epochs[0].Epoch)
 	}

@@ -136,10 +136,19 @@ func (cfg Config) Check(p *Prog) error {
 	rt, err := core.New(mod, core.Options{
 		Seed:            p.Seed,
 		EventCap:        cfg.EventCap,
-		TraceSink:       w.Sink(),
 		CheckpointEvery: cfg.CheckpointEvery,
-		CheckpointSink:  w.CheckpointSink(),
-		FlightRecorder:  fr,
+		TraceSink: func(ep *record.EpochLog) error {
+			if err := w.WriteEpoch(ep); err != nil {
+				return err
+			}
+			return fr.RecordEpoch(ep)
+		},
+		CheckpointSink: func(ck *core.Checkpoint) error {
+			if err := w.WriteCheckpoint(ck); err != nil {
+				return err
+			}
+			return fr.RecordCheckpoint(ck)
+		},
 	})
 	if err != nil {
 		return err

@@ -1,10 +1,10 @@
 package heap
 
-// Allocator snapshot serialization for persisted checkpoint frames (trace
-// format v2): the metadata an offline replay needs to resume allocating
-// mid-trace with identical layout. Both allocators are covered; a tag byte
-// distinguishes them so a replay configured with the wrong allocator fails
-// loudly instead of corrupting layout.
+// Allocator snapshot serialization for persisted trace checkpoint frames:
+// the metadata an offline replay needs to resume allocating mid-trace with
+// identical layout. Both allocators are covered; a tag byte distinguishes
+// them so a replay configured with the wrong allocator fails loudly
+// instead of corrupting layout.
 //
 // The encoding is canonical (maps are emitted in sorted order), so equal
 // snapshots produce identical bytes.

@@ -2,7 +2,7 @@ package interp
 
 // Context serialization and the segment-boundary stop.
 //
-// Persisted checkpoint frames (trace format v2) store every vCPU context so
+// Persisted trace checkpoint frames store every vCPU context so
 // an offline replay can resume mid-trace. Two pieces of state beyond the
 // frames matter for that:
 //

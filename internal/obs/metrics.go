@@ -50,7 +50,6 @@ const (
 	MServedJobsSubmitted  = "ir_served_jobs_submitted_total"
 	MServedJobsRejected   = "ir_served_jobs_rejected_total"
 	MServedEventsReplayed = "ir_served_events_replayed_total"
-	MServedEventsPerSec   = "ir_served_events_per_sec"
 
 	MServedCacheHits      = "ir_served_store_cache_hits_total"
 	MServedCacheMisses    = "ir_served_store_cache_misses_total"

@@ -11,8 +11,6 @@ func TestRegistryRenderIsLintClean(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("t_events_total", "Events seen.")
 	c.Add(3)
-	g := r.NewGauge("t_depth", "Queue depth.")
-	g.Set(7)
 	r.NewGaugeFunc("t_uptime_seconds", "Uptime.", func() float64 { return 1.5 })
 	h := r.NewHistogram("t_latency_seconds", "Latency.", []float64{0.001, 0.01, 0.1})
 	h.Observe(0.005)
@@ -23,6 +21,11 @@ func TestRegistryRenderIsLintClean(t *testing.T) {
 	cv := r.NewCounterVec("t_jobs_total", "Jobs by state.", "state")
 	cv.With("done").Inc()
 	cv.With("error").Add(2)
+	r.NewCounterFunc("t_polled_total", "Polled count.", func() float64 { return 9 })
+	r.NewGaugeVecFunc("t_tier", "Traces by tier.", "tier",
+		func() map[string]float64 { return map[string]float64{"hot": 2, "cold": 1} })
+	r.NewCounterVecFunc("t_state_total", "Terminal states.", "state",
+		func() map[string]float64 { return map[string]float64{"done": 4} })
 
 	var b strings.Builder
 	if err := r.Render(&b); err != nil {
@@ -39,6 +42,9 @@ func TestRegistryRenderIsLintClean(t *testing.T) {
 		`t_latency_seconds_bucket{le="+Inf"} 2`,
 		`t_route_seconds_bucket{route="jobs",le="0.01"} 0`,
 		`t_jobs_total{state="error"} 2`,
+		"# TYPE t_polled_total counter\nt_polled_total 9\n",
+		"# TYPE t_tier gauge\n" + `t_tier{tier="cold"} 1` + "\n" + `t_tier{tier="hot"} 2` + "\n",
+		"# TYPE t_state_total counter\n" + `t_state_total{state="done"} 4` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

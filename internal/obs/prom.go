@@ -135,7 +135,6 @@ func (f *atomicFloat) add(v float64) {
 	}
 }
 
-func (f *atomicFloat) set(v float64) { f.bits.Store(math.Float64bits(v)) }
 func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // Counter is a monotonically increasing value. Counter names must end in
@@ -165,11 +164,6 @@ func (c *Counter) Add(v float64) {
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Set overwrites the counter value. It exists for mirroring an external
-// cumulative counter (e.g. a scheduler snapshot) at scrape time and must
-// never be mixed with Add on the same counter.
-func (c *Counter) Set(v float64) { c.val.set(v) }
-
 // Value returns the current total.
 func (c *Counter) Value() float64 { return c.val.load() }
 
@@ -180,55 +174,62 @@ func (c *Counter) renderTo(b *strings.Builder) {
 	b.WriteString(c.nm + " " + fmtFloat(c.val.load()) + "\n")
 }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	nm, help string
-	val      atomicFloat
+// funcMetric is a collector: a counter or gauge family whose samples are
+// computed at render time from an authoritative source held elsewhere (a
+// scheduler, a store, an atomic), so nothing mirrors that source by hand.
+// Scalar families set fn; single-label families set label and vfn, which
+// returns the value per label value.
+type funcMetric struct {
+	nm, help, kind, label string
+	fn                    func() float64
+	vfn                   func() map[string]float64
 }
 
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	checkInstrument(KindGauge, name, "")
-	g := &Gauge{nm: name, help: help}
-	r.register(name, g)
-	return g
+// NewGaugeFunc registers a gauge evaluated on every scrape.
+func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
+	r.newFunc(&funcMetric{nm: name, help: help, kind: KindGauge, fn: fn})
 }
 
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) { g.val.set(v) }
-
-// Add adjusts the gauge by v.
-func (g *Gauge) Add(v float64) { g.val.add(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.val.load() }
-
-func (g *Gauge) metricName() string { return g.nm }
-
-func (g *Gauge) renderTo(b *strings.Builder) {
-	helpLine(b, g.nm, g.help, "gauge")
-	b.WriteString(g.nm + " " + fmtFloat(g.val.load()) + "\n")
+// NewCounterFunc registers a counter evaluated on every scrape; fn must
+// read a cumulative count that never decreases.
+func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
+	r.newFunc(&funcMetric{nm: name, help: help, kind: KindCounter, fn: fn})
 }
 
-// GaugeFunc is a gauge whose value is computed at render time.
-type GaugeFunc struct {
-	nm, help string
-	fn       func() float64
+// NewGaugeVecFunc registers a one-label gauge family evaluated on every
+// scrape: fn returns the value per label value.
+func (r *Registry) NewGaugeVecFunc(name, help, label string, fn func() map[string]float64) {
+	r.newFunc(&funcMetric{nm: name, help: help, kind: KindGauge, label: label, vfn: fn})
 }
 
-// NewGaugeFunc registers a gauge evaluated lazily on every scrape.
-func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) *GaugeFunc {
-	checkInstrument(KindGauge, name, "")
-	g := &GaugeFunc{nm: name, help: help, fn: fn}
-	r.register(name, g)
-	return g
+// NewCounterVecFunc registers a one-label counter family evaluated on
+// every scrape: fn returns the cumulative count per label value.
+func (r *Registry) NewCounterVecFunc(name, help, label string, fn func() map[string]float64) {
+	r.newFunc(&funcMetric{nm: name, help: help, kind: KindCounter, label: label, vfn: fn})
 }
 
-func (g *GaugeFunc) metricName() string { return g.nm }
+func (r *Registry) newFunc(m *funcMetric) {
+	checkInstrument(m.kind, m.nm, m.label)
+	r.register(m.nm, m)
+}
 
-func (g *GaugeFunc) renderTo(b *strings.Builder) {
-	helpLine(b, g.nm, g.help, "gauge")
-	b.WriteString(g.nm + " " + fmtFloat(g.fn()) + "\n")
+func (m *funcMetric) metricName() string { return m.nm }
+
+func (m *funcMetric) renderTo(b *strings.Builder) {
+	helpLine(b, m.nm, m.help, m.kind)
+	if m.vfn == nil {
+		b.WriteString(m.nm + " " + fmtFloat(m.fn()) + "\n")
+		return
+	}
+	vals := m.vfn()
+	keys := make([]string, 0, len(vals))
+	for k := range vals {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		b.WriteString(m.nm + `{` + m.label + `="` + escLabel(k) + `"} ` + fmtFloat(vals[k]) + "\n")
+	}
 }
 
 // Histogram is a fixed-bucket latency histogram. Observations are atomic
@@ -385,55 +386,6 @@ func (cv *CounterVec) renderTo(b *strings.Builder) {
 	helpLine(b, cv.nm, cv.help, "counter")
 	for _, lv := range cv.sortedValues() {
 		cv.children[lv].renderTo(b)
-	}
-}
-
-// GaugeVec is a gauge family partitioned by one label.
-type GaugeVec struct {
-	vec[*labeledGauge]
-}
-
-type labeledGauge struct {
-	Gauge
-	labels string
-}
-
-func (g *labeledGauge) renderTo(b *strings.Builder) {
-	b.WriteString(g.nm + g.labels + " " + fmtFloat(g.val.load()) + "\n")
-}
-
-// NewGaugeVec registers a gauge family with one label dimension.
-func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
-	checkInstrument(KindGauge, name, label)
-	gv := &GaugeVec{vec[*labeledGauge]{
-		nm: name, help: help, label: label,
-		children: make(map[string]*labeledGauge),
-	}}
-	gv.mk = func(labels string) *labeledGauge {
-		return &labeledGauge{Gauge: Gauge{nm: name, help: help}, labels: labels}
-	}
-	r.register(name, gv)
-	return gv
-}
-
-// With returns the child gauge for the given label value.
-func (gv *GaugeVec) With(value string) *Gauge { return &gv.child(value).Gauge }
-
-// Reset drops all children; the next render omits stale label values.
-func (gv *GaugeVec) Reset() {
-	gv.mu.Lock()
-	defer gv.mu.Unlock()
-	gv.children = make(map[string]*labeledGauge)
-}
-
-func (gv *GaugeVec) metricName() string { return gv.nm }
-
-func (gv *GaugeVec) renderTo(b *strings.Builder) {
-	gv.mu.Lock()
-	defer gv.mu.Unlock()
-	helpLine(b, gv.nm, gv.help, "gauge")
-	for _, lv := range gv.sortedValues() {
-		gv.children[lv].renderTo(b)
 	}
 }
 

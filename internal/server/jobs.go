@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/obs"
-	"repro/internal/record"
 	"repro/internal/tir"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -251,12 +250,9 @@ func RecordTraceSpan(st *trace.Store, req RecordRequest, interrupt func() error,
 	if req.KeyframeEvery > 0 {
 		w.SetKeyframeEvery(req.KeyframeEvery)
 	}
-	var events int64
-	opts := core.Options{Seed: req.Seed, EventCap: req.EventCap, Interrupt: interrupt, Span: span}
-	sink := w.Sink()
-	opts.TraceSink = func(ep *record.EpochLog) error {
-		events += int64(ep.EventCount())
-		return sink(ep)
+	opts := core.Options{
+		Seed: req.Seed, EventCap: req.EventCap, Interrupt: interrupt, Span: span,
+		TraceSink: w.Sink(),
 	}
 	if req.CheckpointEvery > 0 {
 		opts.CheckpointEvery = req.CheckpointEvery
@@ -296,7 +292,7 @@ func RecordTraceSpan(st *trace.Store, req RecordRequest, interrupt func() error,
 		Epochs:      w.Epochs(),
 		Checkpoints: w.Ckpts(),
 		Keyframes:   w.Keyframes(),
-		Events:      events,
+		Events:      rt.StatsSnapshot().EventsRecorded,
 		Bytes:       bytes,
 		Exit:        rep.Exit,
 		WallNS:      time.Since(start).Nanoseconds(),
@@ -327,14 +323,10 @@ func recordFlight(st *trace.Store, req RecordRequest, name string, mod *tir.Modu
 		return nil, err
 	}
 	defer rec.Close()
-	var events int64
 	opts := core.Options{
-		Seed: req.Seed, EventCap: req.EventCap, Interrupt: interrupt,
-		CheckpointEvery: req.CheckpointEvery, FlightRecorder: rec, Span: span,
-	}
-	opts.TraceSink = func(ep *record.EpochLog) error {
-		events += int64(ep.EventCount())
-		return nil
+		Seed: req.Seed, EventCap: req.EventCap, Interrupt: interrupt, Span: span,
+		TraceSink: rec.RecordEpoch, CheckpointSink: rec.RecordCheckpoint,
+		CheckpointEvery: req.CheckpointEvery,
 	}
 	rt, err := core.New(mod, opts)
 	if err != nil {
@@ -364,7 +356,7 @@ func recordFlight(st *trace.Store, req RecordRequest, name string, mod *tir.Modu
 		Trace:      name,
 		Path:       st.Path(name),
 		Epochs:     stats.Epochs,
-		Events:     events,
+		Events:     rt.StatsSnapshot().EventsRecorded,
 		Bytes:      stats.Bytes,
 		Exit:       rep.Exit,
 		WallNS:     time.Since(start).Nanoseconds(),

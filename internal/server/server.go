@@ -183,10 +183,10 @@ func New(cfg Config) (*Server, error) {
 		reading:   make(map[string]int),
 		gcPolicy:  cfg.GC,
 		gcStop:    make(chan struct{}),
-		met:       newServerMetrics(),
 		reqSpans:  obs.NewRecorder(1024),
 		timelines: make(map[uint64]*obs.Recorder),
 	}
+	s.met = newServerMetrics(s)
 	s.route("GET /api/v1/traces", "traces", s.handleTraces)
 	s.route("GET /api/v1/traces/{name}", "trace", s.handleTrace)
 	s.route("DELETE /api/v1/traces/{name}", "trace_delete", s.handleDeleteTrace)

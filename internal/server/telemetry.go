@@ -5,15 +5,17 @@ package server
 // request latency instrumentation, and per-job span timelines served as
 // Chrome trace-event JSON by GET /api/v1/jobs/{id}/timeline.
 //
-// The daemon's own series are point-in-time mirrors: handleMetrics snapshots
-// the scheduler, store, and GC counters and Sets them into the registry at
-// scrape time, then renders the server registry followed by the process-wide
-// obs.Default() registry (scheduler wait/run histograms, trace-layer and
-// core-layer timings). Request latency and request counts are the only
-// series observed on the hot path.
+// The daemon's own series are collectors: each is registered once with a
+// func that reads the authoritative source — the scheduler, the store, the
+// Server's atomics — when /metrics renders, so nothing mirrors those
+// counters by hand. handleMetrics renders the server registry followed by
+// the process-wide obs.Default() registry (scheduler wait/run histograms,
+// trace-layer and core-layer timings). Request latency and request counts
+// are the only series observed on the hot path.
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -21,74 +23,111 @@ import (
 	"repro/internal/obs"
 )
 
-// serverMetrics is the daemon's /metrics registry. Everything except the
-// HTTP families is Set at scrape time from authoritative counters held
-// elsewhere (the scheduler, the store, the Server's atomics).
+// serverMetrics is the daemon's /metrics registry: the HTTP families,
+// observed per request, plus the collectors newServerMetrics registers.
 type serverMetrics struct {
 	reg *obs.Registry
 
 	httpLatency *obs.HistogramVec
 	httpReqs    *obs.CounterVec
-
-	queueDepth, queueLimit, workers, running *obs.Gauge
-	jobsTotal                                *obs.CounterVec
-	submitted, rejected                      *obs.Counter
-	eventsReplayed                           *obs.Counter
-	eventsPerSec                             *obs.Gauge
-
-	cacheHits, cacheMisses, cacheEvictions *obs.Counter
-	cacheBytes, cacheLimit                 *obs.Gauge
-	cacheHitRate, cachedFrames             *obs.Gauge
-
-	storeBytes, storeTraces *obs.Gauge
-	tierTraces              *obs.GaugeVec
-	pinned                  *obs.Gauge
-
-	gcRuns, gcReclaimed *obs.Counter
-	uptime              *obs.Gauge
 }
 
-func newServerMetrics() *serverMetrics {
+func newServerMetrics(s *Server) *serverMetrics {
 	r := obs.NewRegistry()
-	return &serverMetrics{
+	met := &serverMetrics{
 		reg: r,
-
 		httpLatency: r.NewHistogramVec(obs.MServedHTTPLatency,
 			"API request latency by route.", "route", obs.DefBuckets),
 		httpReqs: r.NewCounterVec(obs.MServedHTTPRequests,
 			"API requests served, by route.", "route"),
-
-		queueDepth: r.NewGauge(obs.MServedQueueDepth, "Jobs waiting for a worker."),
-		queueLimit: r.NewGauge(obs.MServedQueueLimit, "Queue capacity; submissions past it get 429."),
-		workers:    r.NewGauge(obs.MServedWorkers, "Worker pool size."),
-		running:    r.NewGauge(obs.MServedJobsRunning, "Jobs executing right now."),
-		jobsTotal: r.NewCounterVec(obs.MServedJobsTotal,
-			"Terminal jobs by final state.", "state"),
-		submitted: r.NewCounter(obs.MServedJobsSubmitted, "Jobs accepted into the queue."),
-		rejected:  r.NewCounter(obs.MServedJobsRejected, "Submissions refused by backpressure."),
-		eventsReplayed: r.NewCounter(obs.MServedEventsReplayed,
-			"Recorded events re-executed (or recorded) by completed jobs."),
-		eventsPerSec: r.NewGauge(obs.MServedEventsPerSec,
-			"Replay throughput: events_replayed_total / uptime."),
-
-		cacheHits:      r.NewCounter(obs.MServedCacheHits, "Decode-cache hits."),
-		cacheMisses:    r.NewCounter(obs.MServedCacheMisses, "Decode-cache misses."),
-		cacheEvictions: r.NewCounter(obs.MServedCacheEvictions, "Decode-cache evictions."),
-		cacheBytes:     r.NewGauge(obs.MServedCacheBytes, "Bytes of decoded frames cached."),
-		cacheLimit:     r.NewGauge(obs.MServedCacheLimit, "Decode-cache byte budget."),
-		cacheHitRate:   r.NewGauge(obs.MServedCacheHitRate, "Decode-cache hits / loads since start."),
-		cachedFrames:   r.NewGauge(obs.MServedCachedFrames, "Decoded frames resident in the cache."),
-
-		storeBytes:  r.NewGauge(obs.MServedStoreBytes, "Summed size of stored trace files."),
-		storeTraces: r.NewGauge(obs.MServedStoreTraces, "Stored traces."),
-		tierTraces: r.NewGaugeVec(obs.MServedTracesByTier,
-			"Traces by encoding tier (cold = compressed frame bodies).", "tier"),
-		pinned: r.NewGauge(obs.MServedPinnedTraces, "Traces pinned against retention GC."),
-
-		gcRuns:      r.NewCounter(obs.MServedGCRuns, "Retention GC passes completed."),
-		gcReclaimed: r.NewCounter(obs.MServedGCReclaimed, "Bytes reclaimed by retention GC passes."),
-		uptime:      r.NewGauge(obs.MServedUptimeSeconds, "Seconds since the server started."),
 	}
+
+	r.NewGaugeFunc(obs.MServedQueueDepth, "Jobs waiting for a worker.",
+		func() float64 { return float64(s.sched.Metrics().QueueDepth) })
+	r.NewGaugeFunc(obs.MServedQueueLimit, "Queue capacity; submissions past it get 429.",
+		func() float64 { return float64(s.sched.Metrics().QueueLimit) })
+	r.NewGaugeFunc(obs.MServedWorkers, "Worker pool size.",
+		func() float64 { return float64(s.sched.Metrics().Workers) })
+	r.NewGaugeFunc(obs.MServedJobsRunning, "Jobs executing right now.",
+		func() float64 { return float64(s.sched.Metrics().Running) })
+	r.NewCounterVecFunc(obs.MServedJobsTotal, "Terminal jobs by final state.", "state",
+		func() map[string]float64 {
+			m := s.sched.Metrics()
+			return map[string]float64{
+				"done": float64(m.Done), "failed": float64(m.Failed), "canceled": float64(m.Canceled),
+			}
+		})
+	r.NewCounterFunc(obs.MServedJobsSubmitted, "Jobs accepted into the queue.",
+		func() float64 { return float64(s.sched.Metrics().Submitted) })
+	r.NewCounterFunc(obs.MServedJobsRejected, "Submissions refused by backpressure.",
+		func() float64 { return float64(s.sched.Metrics().Rejected) })
+	r.NewCounterFunc(obs.MServedEventsReplayed,
+		"Recorded events re-executed (or recorded) by completed jobs.",
+		func() float64 { return float64(s.eventsReplayed.Load()) })
+
+	r.NewCounterFunc(obs.MServedCacheHits, "Decode-cache hits.",
+		func() float64 { return float64(s.store.Stats().Hits) })
+	r.NewCounterFunc(obs.MServedCacheMisses, "Decode-cache misses.",
+		func() float64 { return float64(s.store.Stats().Misses) })
+	r.NewCounterFunc(obs.MServedCacheEvictions, "Decode-cache evictions.",
+		func() float64 { return float64(s.store.Stats().Evictions) })
+	r.NewGaugeFunc(obs.MServedCacheBytes, "Bytes of decoded frames cached.",
+		func() float64 { return float64(s.store.Stats().CachedBytes) })
+	r.NewGaugeFunc(obs.MServedCacheLimit, "Decode-cache byte budget.",
+		func() float64 { return float64(s.store.Stats().LimitBytes) })
+	r.NewGaugeFunc(obs.MServedCacheHitRate, "Decode-cache hits / loads since start.",
+		func() float64 { return s.store.Stats().HitRate() })
+	r.NewGaugeFunc(obs.MServedCachedFrames, "Decoded frames resident in the cache.",
+		func() float64 { return float64(s.store.Stats().CachedFrames) })
+
+	// Store collectors read the directory; a read error reports NaN
+	// (unknown), or no tier samples, rather than a stale or zero figure.
+	r.NewGaugeFunc(obs.MServedStoreBytes, "Summed size of stored trace files.", func() float64 {
+		ds, err := s.store.DiskStats()
+		if err != nil {
+			return math.NaN()
+		}
+		return float64(ds.TotalBytes)
+	})
+	r.NewGaugeFunc(obs.MServedStoreTraces, "Stored traces.", func() float64 {
+		ds, err := s.store.DiskStats()
+		if err != nil {
+			return math.NaN()
+		}
+		return float64(ds.Traces)
+	})
+	r.NewGaugeVecFunc(obs.MServedTracesByTier,
+		"Traces by encoding tier (cold = compressed frame bodies).", "tier",
+		func() map[string]float64 {
+			entries, err := s.store.List()
+			if err != nil {
+				return nil
+			}
+			tiers := map[string]float64{"hot": 0, "cold": 0}
+			for _, e := range entries {
+				if e.Err == nil && e.Header.Compressed {
+					tiers["cold"]++
+				} else {
+					tiers["hot"]++
+				}
+			}
+			return tiers
+		})
+	r.NewGaugeFunc(obs.MServedPinnedTraces, "Traces pinned against retention GC.", func() float64 {
+		pins, err := s.store.Pins()
+		if err != nil {
+			return math.NaN()
+		}
+		return float64(len(pins))
+	})
+
+	r.NewCounterFunc(obs.MServedGCRuns, "Retention GC passes completed.",
+		func() float64 { return float64(s.gcRuns.Load()) })
+	r.NewCounterFunc(obs.MServedGCReclaimed, "Bytes reclaimed by retention GC passes.",
+		func() float64 { return float64(s.gcReclaimed.Load()) })
+	r.NewGaugeFunc(obs.MServedUptimeSeconds, "Seconds since the server started.",
+		func() float64 { return time.Since(s.start).Seconds() })
+	return met
 }
 
 // route registers a handler wrapped with per-route instrumentation: a
@@ -111,62 +150,12 @@ func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 }
 
 // handleMetrics renders the Prometheus text exposition: the daemon's own
-// series (scheduler and store state mirrored into the registry at scrape
-// time) followed by the process-wide obs.Default() registry — scheduler
-// queue-wait/run histograms and the trace/core/flight layer timings.
+// series (collectors evaluated now) followed by the process-wide
+// obs.Default() registry — scheduler queue-wait/run histograms and the
+// trace/core/flight layer timings.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.sched.Metrics()
-	st := s.store.Stats()
-	uptime := time.Since(s.start).Seconds()
-	events := s.eventsReplayed.Load()
-	eps := 0.0
-	if uptime > 0 {
-		eps = float64(events) / uptime
-	}
-	met := s.met
-	met.queueDepth.Set(float64(m.QueueDepth))
-	met.queueLimit.Set(float64(m.QueueLimit))
-	met.workers.Set(float64(m.Workers))
-	met.running.Set(float64(m.Running))
-	met.jobsTotal.With("done").Set(float64(m.Done))
-	met.jobsTotal.With("failed").Set(float64(m.Failed))
-	met.jobsTotal.With("canceled").Set(float64(m.Canceled))
-	met.submitted.Set(float64(m.Submitted))
-	met.rejected.Set(float64(m.Rejected))
-	met.eventsReplayed.Set(float64(events))
-	met.eventsPerSec.Set(eps)
-	met.cacheHits.Set(float64(st.Hits))
-	met.cacheMisses.Set(float64(st.Misses))
-	met.cacheEvictions.Set(float64(st.Evictions))
-	met.cacheBytes.Set(float64(st.CachedBytes))
-	met.cacheLimit.Set(float64(st.LimitBytes))
-	met.cacheHitRate.Set(st.HitRate())
-	met.cachedFrames.Set(float64(st.CachedFrames))
-	if ds, err := s.store.DiskStats(); err == nil {
-		met.storeBytes.Set(float64(ds.TotalBytes))
-		met.storeTraces.Set(float64(ds.Traces))
-	}
-	if entries, err := s.store.List(); err == nil {
-		hot, cold := 0, 0
-		for _, e := range entries {
-			if e.Err == nil && e.Header.Compressed {
-				cold++
-			} else {
-				hot++
-			}
-		}
-		met.tierTraces.With("hot").Set(float64(hot))
-		met.tierTraces.With("cold").Set(float64(cold))
-	}
-	if pins, err := s.store.Pins(); err == nil {
-		met.pinned.Set(float64(len(pins)))
-	}
-	met.gcRuns.Set(float64(s.gcRuns.Load()))
-	met.gcReclaimed.Set(float64(s.gcReclaimed.Load()))
-	met.uptime.Set(uptime)
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = met.reg.Render(w)
+	w.Header().Add("Content-Type", "text/plain; version=0.0.4")
+	_ = s.met.reg.Render(w)
 	_ = obs.Default().Render(w)
 }
 

@@ -87,7 +87,7 @@ func runAnalyzeJob(j *AnalyzeJob) (res AnalyzeResult) {
 	}
 	// Stream the trace through bounded epoch windows instead of pinning
 	// every decoded frame for the run's whole duration: the flattener folds
-	// each window into the replay-ready lists and releases it, so a v3
+	// each window into the replay-ready lists and releases it, so an indexed
 	// handle's frame cache — not this worker — decides what stays resident.
 	f := record.NewFlattener()
 	first, last := j.Handle.EpochRange()

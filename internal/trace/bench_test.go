@@ -103,7 +103,7 @@ func BenchmarkSegmentReplay(b *testing.B) {
 // BenchmarkSegmentColdStart measures the cold path the daemon pays when a
 // segment job lands on a trace nothing has touched: open the store (empty
 // frame cache), resolve the handle (one footer read), and replay one
-// mid-trace segment. With the v3 index and checkpoint keyframes this is
+// mid-trace segment. With the index footer and checkpoint keyframes this is
 // O(segment) — the epochs and checkpoints outside the segment are never
 // read — and -benchmem's allocation columns track exactly that footprint.
 func BenchmarkSegmentColdStart(b *testing.B) {

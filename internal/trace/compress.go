@@ -1,6 +1,6 @@
 package trace
 
-// Per-frame compression (format v4). A frame whose payload is
+// Per-frame compression. A frame whose payload is
 // deflate-compressed carries the frameCompressed bit OR-ed into its kind
 // byte; the stored payload is then
 //

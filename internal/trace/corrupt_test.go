@@ -2,7 +2,7 @@ package trace
 
 // Corrupt-trace corpus: every way a stored trace can rot — truncated
 // mid-frame, flipped CRC, trailing garbage, implausible frame length, and
-// (format v3) damaged or lying index regions — with the required behavior
+// damaged or lying index regions — with the required behavior
 // of Load (error), List (degraded entry that hides nothing), scanning
 // (error), and the index failure policy (unparseable index degrades to the
 // scan path; an index that lies is hard corruption) asserted for each.
@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -21,8 +22,8 @@ import (
 	"repro/internal/record"
 )
 
-// corpusTrace builds a small, fully valid two-epoch trace (format v3:
-// summary, index frame, trailer).
+// corpusTrace builds a small, fully valid two-epoch trace (summary, index
+// frame, trailer).
 func corpusTrace(t *testing.T) []byte {
 	t.Helper()
 	tr := &Trace{
@@ -51,39 +52,14 @@ func corpusTrace(t *testing.T) []byte {
 	return b
 }
 
-// legacyTraceBytes re-encodes the corpus trace with an older header
-// version: v1/v2 framing, no index region — byte-for-byte what the old
-// writers emitted.
-func legacyTraceBytes(t *testing.T, ver int) []byte {
-	t.Helper()
-	tr, err := Decode(corpusTrace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	w, err := newWriterVersion(&buf, tr.Header, ver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ep := range tr.Epochs {
-		if err := w.WriteEpoch(ep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Finish(tr.Summary); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // frameSpan is one frame's location in an encoded trace.
 type frameSpan struct {
 	kind       byte
 	start, end int
 }
 
-// frameSpans walks the frames of a well-formed encoded trace. For v3
-// encodings the fixed trailer is excluded from the walk.
+// frameSpans walks the frames of a well-formed encoded trace. The fixed
+// trailer, when present, is excluded from the walk.
 func frameSpans(t *testing.T, b []byte) []frameSpan {
 	t.Helper()
 	end := len(b)
@@ -193,67 +169,100 @@ func headerFrameEnd(t *testing.T, b []byte) int {
 	return off + w + int(n) + 4
 }
 
-// TestLegacyTracesLoad: v1 and v2 files (what the pre-index writers
-// produced — same framing, older header versions, no index region) still
-// decode, scan, store-open, and list; an unknown future version is
-// refused.
-func TestLegacyTracesLoad(t *testing.T) {
-	for _, ver := range []int{1, 2} {
-		b := legacyTraceBytes(t, ver)
-
-		tr, err := Decode(b)
-		if err != nil {
-			t.Fatalf("v%d trace failed to load: %v", ver, err)
-		}
-		if len(tr.Epochs) != 2 || tr.Summary == nil || len(tr.Checkpoints) != 0 {
-			t.Fatalf("v%d decode = %d epochs, summary %v, %d checkpoints",
-				ver, len(tr.Epochs), tr.Summary, len(tr.Checkpoints))
-		}
-		if tr.Header.Version != ver {
-			t.Fatalf("decoded header version %d, want %d", tr.Header.Version, ver)
-		}
-
-		st, err := OpenStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(st.Path("legacy"), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		h, err := st.Open("legacy")
-		if err != nil {
-			t.Fatalf("v%d trace failed to open: %v", ver, err)
-		}
-		if h.Indexed() {
-			t.Fatalf("v%d trace claims an index footer", ver)
-		}
-		if h.NumEpochs() != 2 || !h.Complete() || h.EventCount() != tr.EventCount() {
-			t.Fatalf("v%d handle stats: %d epochs, complete=%v, %d events",
-				ver, h.NumEpochs(), h.Complete(), h.EventCount())
-		}
-		got, err := h.Epochs(1, 2)
-		if err != nil || len(got) != 2 {
-			t.Fatalf("v%d lazy epochs: %v", ver, err)
-		}
-		h.Close()
-		e, err := st.Entry("legacy")
-		if err != nil || e.Err != nil || !e.Complete || e.Epochs != 2 || e.Indexed {
-			t.Fatalf("v%d entry: %+v (%v)", ver, e, err)
-		}
+// oldVersionTrace hand-builds the corpus trace as a pre-v4 writer laid it
+// out: header and summary frames without their trailing flags varints,
+// and for v3 the index footer and trailer. Everything but the version is
+// well-formed, so the version is the only thing that can refuse it.
+func oldVersionTrace(t *testing.T, ver int) []byte {
+	t.Helper()
+	tr, err := Decode(corpusTrace(t))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// An unknown future version is refused.
-	b := corpusTrace(t)
-	off := len(Magic) + 1
-	n, w := binary.Uvarint(b[off:])
-	payload := b[off+w : off+w+int(n)]
-	if payload[0] != Version {
-		t.Fatalf("header does not lead with the version varint: %d", payload[0])
+	b := []byte(Magic)
+	frame := func(kind byte, payload []byte) frameRef {
+		ref := frameRef{off: int64(len(b)), plen: len(payload), crc: crc32ieee(payload)}
+		b = append(b, kind)
+		b = binary.AppendUvarint(b, uint64(len(payload)))
+		b = append(b, payload...)
+		b = binary.LittleEndian.AppendUint32(b, ref.crc)
+		return ref
 	}
-	payload[0] = Version + 1
-	binary.LittleEndian.PutUint32(b[off+w+int(n):], crc32ieee(payload))
-	if _, err := Decode(b); err == nil {
-		t.Fatal("future header version accepted")
+	h := tr.Header
+	hdr := putUvarint(nil, uint64(ver))
+	hdr = putString(hdr, h.App)
+	hdr = putUvarint(hdr, h.ModuleHash)
+	hdr = putUvarint(hdr, uint64(h.EventCap))
+	hdr = putUvarint(hdr, uint64(h.VarCap))
+	hdr = putVarint(hdr, h.Seed)
+	hdr = putUvarint(hdr, uint64(h.AppIters))
+	frame(frameHeader, hdr)
+	var ix fileIndex
+	for _, ep := range tr.Epochs {
+		ref := frame(frameEpoch, appendEpoch(nil, ep))
+		ix.epochs = append(ix.epochs, epochRef{frameRef: ref, seq: ep.Epoch, events: int64(ep.EventCount())})
+	}
+	ix.sum = frame(frameSum, putString(putUvarint(nil, tr.Summary.Exit), tr.Summary.Output))
+	if ver != 3 {
+		return b
+	}
+	indexOff := len(b)
+	frame(frameIndex, appendIndex(nil, &ix))
+	b = binary.LittleEndian.AppendUint64(b, uint64(indexOff))
+	return append(b, indexTrailerMagic...)
+}
+
+// TestOldTraceVersionsRefused: the store reads one format version. v1, v2
+// and v3 files (and an unknown future version) are refused with the
+// unsupported-version error by Decode, Store.Open, Store.Entry (as
+// Entry.Err) and List — which also keeps a healthy neighbour whole.
+func TestOldTraceVersionsRefused(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.Path("healthy"), corpusTrace(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "unsupported header version"
+	for _, ver := range []int{1, 2, 3, Version + 1} {
+		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
+			b := oldVersionTrace(t, ver)
+			if _, err := Decode(b); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Decode: %v, want %q", err, want)
+			}
+			name := fmt.Sprintf("old-v%d", ver)
+			if err := os.WriteFile(st.Path(name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			defer os.Remove(st.Path(name))
+			if h, err := st.Open(name); err == nil || !strings.Contains(err.Error(), want) {
+				if h != nil {
+					h.Close()
+				}
+				t.Fatalf("Store.Open: %v, want %q", err, want)
+			}
+			e, err := st.Entry(name)
+			if err != nil || e.Err == nil || !strings.Contains(e.Err.Error(), want) {
+				t.Fatalf("Store.Entry = %+v (%v), want Err %q", e, err, want)
+			}
+			entries, err := st.List()
+			if err != nil {
+				t.Fatalf("List aborted on an old-version file: %v", err)
+			}
+			var sawOld, sawHealthy bool
+			for _, e := range entries {
+				switch e.Name {
+				case name:
+					sawOld = e.Err != nil && strings.Contains(e.Err.Error(), want)
+				case "healthy":
+					sawHealthy = e.Err == nil && e.Complete && e.Epochs == 2
+				}
+			}
+			if !sawOld || !sawHealthy {
+				t.Fatalf("List = %+v, want %s refused and healthy whole", entries, name)
+			}
+		})
 	}
 }
 
@@ -327,8 +336,8 @@ func TestCorruptTraceCorpus(t *testing.T) {
 
 // TestV3IndexDamageDegradesToScan: a damaged index region — torn index
 // frame, flipped index CRC, truncated trailer — must not cost the trace:
-// it loads through the scan path with a clean Entry, exactly as a v2 file
-// would, just without random access.
+// it loads through the scan path with a clean Entry, just without random
+// access.
 func TestV3IndexDamageDegradesToScan(t *testing.T) {
 	valid := corpusTrace(t)
 	spans := frameSpans(t, valid)

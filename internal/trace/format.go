@@ -90,25 +90,22 @@ func (d *decoder) count() (int, error) {
 
 // --- header frame ---
 
-// Header flag bits (format v4; a flags varint closes the header payload).
+// Header flag bits (a flags varint closes the header payload).
 const hdrCompressed = 1 << 0
 
-func appendHeader(b []byte, h Header, ver int) []byte {
-	b = putUvarint(b, uint64(ver))
+func appendHeader(b []byte, h Header) []byte {
+	b = putUvarint(b, Version)
 	b = putString(b, h.App)
 	b = putUvarint(b, h.ModuleHash)
 	b = putUvarint(b, uint64(h.EventCap))
 	b = putUvarint(b, uint64(h.VarCap))
 	b = putVarint(b, h.Seed)
 	b = putUvarint(b, uint64(h.AppIters))
-	if ver >= 4 {
-		var flags uint64
-		if h.Compressed {
-			flags |= hdrCompressed
-		}
-		b = putUvarint(b, flags)
+	var flags uint64
+	if h.Compressed {
+		flags |= hdrCompressed
 	}
-	return b
+	return putUvarint(b, flags)
 }
 
 func decodeHeader(payload []byte) (Header, error) {
@@ -118,8 +115,8 @@ func decodeHeader(payload []byte) (Header, error) {
 	if err != nil {
 		return h, err
 	}
-	if ver < MinVersion || ver > Version {
-		return h, fmt.Errorf("trace: unsupported header version %d (supported %d..%d)", ver, MinVersion, Version)
+	if ver != Version {
+		return h, fmt.Errorf("trace: unsupported header version %d (supported %d)", ver, Version)
 	}
 	h.Version = int(ver)
 	if h.App, err = d.str(); err != nil {
@@ -145,13 +142,11 @@ func decodeHeader(payload []byte) (Header, error) {
 		return h, err
 	}
 	h.AppIters = int(iters)
-	if ver >= 4 {
-		flags, err := d.uvarint()
-		if err != nil {
-			return h, err
-		}
-		h.Compressed = flags&hdrCompressed != 0
+	flags, err := d.uvarint()
+	if err != nil {
+		return h, err
 	}
+	h.Compressed = flags&hdrCompressed != 0
 	return h, nil
 }
 
@@ -345,7 +340,7 @@ func peekEpochMeta(payload []byte) (epoch int64, events int64, err error) {
 	return int64(seq), int64(n), nil
 }
 
-// --- checkpoint frame (format v2; flags since v3) ---
+// --- checkpoint frame ---
 
 // Thread flag bits in a checkpoint frame.
 const (
@@ -354,9 +349,7 @@ const (
 	ckThreadHasCtx = 1 << 2
 )
 
-// Checkpoint frame flag bits (format v3; the flags varint leads the
-// payload). v2 payloads have no flags field, so the decoders take the
-// header version.
+// Checkpoint frame flag bits (the flags varint leads the payload).
 const ckKeyframe = 1 << 0
 
 // decodeProbe counts frame-payload decodes — the test probe behind the
@@ -368,16 +361,13 @@ var decodeProbe struct {
 }
 
 // appendCheckpoint serializes a checkpoint whose memory image has already
-// been delta-encoded (memDelta) by the caller. ver selects the payload
-// layout: v3 leads with a flags varint (keyframe bit), v2 has none.
-func appendCheckpoint(b []byte, ck *core.Checkpoint, memDelta []byte, keyframe bool, ver int) ([]byte, error) {
-	if ver >= 3 {
-		var flags uint64
-		if keyframe {
-			flags |= ckKeyframe
-		}
-		b = putUvarint(b, flags)
+// been delta-encoded (memDelta) by the caller.
+func appendCheckpoint(b []byte, ck *core.Checkpoint, memDelta []byte, keyframe bool) ([]byte, error) {
+	var flags uint64
+	if keyframe {
+		flags |= ckKeyframe
 	}
+	b = putUvarint(b, flags)
 	b = putUvarint(b, uint64(ck.Epoch))
 	b = putUvarint(b, uint64(uint32(ck.NextTID)))
 	b = putUvarint(b, uint64(ck.OutputLen))
@@ -450,21 +440,14 @@ func appendCheckpoint(b []byte, ck *core.Checkpoint, memDelta []byte, keyframe b
 	return b, nil
 }
 
-// decodeCheckpoint decodes one checkpoint frame. first marks the trace's
-// first checkpoint frame: legacy (pre-v3) delta chains have no flags
-// field, and their first frame is implicitly the chain's keyframe (its
-// delta was encoded against the empty image).
-func decodeCheckpoint(payload []byte, ver int, first bool) (*Checkpoint, error) {
+// decodeCheckpoint decodes one checkpoint frame.
+func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
 	decodeProbe.ckpts.Add(1)
 	d := &decoder{b: payload}
 	st := &core.Checkpoint{FS: &vsys.State{}}
-	keyframe := ver < 3 && first
-	if ver >= 3 {
-		flags, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		keyframe = flags&ckKeyframe != 0
+	ckFlags, err := d.uvarint()
+	if err != nil {
+		return nil, err
 	}
 	epoch, err := d.uvarint()
 	if err != nil {
@@ -635,47 +618,38 @@ func decodeCheckpoint(payload []byte, ver int, first bool) (*Checkpoint, error) 
 	if !d.done() {
 		return nil, fmt.Errorf("trace: %d trailing bytes in checkpoint frame", len(d.b)-d.off)
 	}
-	return &Checkpoint{State: st, Keyframe: keyframe, memDelta: append([]byte(nil), memDelta...)}, nil
+	return &Checkpoint{State: st, Keyframe: ckFlags&ckKeyframe != 0,
+		memDelta: append([]byte(nil), memDelta...)}, nil
 }
 
-// peekCheckpointMeta reads only the leading flags (v3) and epoch fields —
-// the inventory scan's fast path. first is interpreted as in
-// decodeCheckpoint (legacy chains: the first frame is the keyframe).
-func peekCheckpointMeta(payload []byte, ver int, first bool) (epoch int64, keyframe bool, err error) {
+// peekCheckpointMeta reads only the leading flags and epoch fields — the
+// inventory scan's fast path.
+func peekCheckpointMeta(payload []byte) (epoch int64, keyframe bool, err error) {
 	d := &decoder{b: payload}
-	keyframe = ver < 3 && first
-	if ver >= 3 {
-		flags, err := d.uvarint()
-		if err != nil {
-			return 0, false, err
-		}
-		keyframe = flags&ckKeyframe != 0
+	flags, err := d.uvarint()
+	if err != nil {
+		return 0, false, err
 	}
 	v, err := d.uvarint()
-	return int64(v), keyframe, err
+	return int64(v), flags&ckKeyframe != 0, err
 }
 
 // --- summary frame ---
 
-// Summary flag bits (format v4; a flags varint closes the summary
-// payload — absent in v1–v3 summaries, so the decoder reads it only when
-// payload bytes remain).
+// Summary flag bits (a flags varint closes the summary payload).
 const sumPartial = 1 << 0
 
-func appendSummary(b []byte, s *Summary, ver int) []byte {
+func appendSummary(b []byte, s *Summary) []byte {
 	if s == nil {
 		s = &Summary{}
 	}
 	b = putUvarint(b, s.Exit)
 	b = putString(b, s.Output)
-	if ver >= 4 {
-		var flags uint64
-		if s.Partial {
-			flags |= sumPartial
-		}
-		b = putUvarint(b, flags)
+	var flags uint64
+	if s.Partial {
+		flags |= sumPartial
 	}
-	return b
+	return putUvarint(b, flags)
 }
 
 func decodeSummary(payload []byte) (*Summary, error) {
@@ -688,12 +662,10 @@ func decodeSummary(payload []byte) (*Summary, error) {
 	if s.Output, err = d.str(); err != nil {
 		return nil, err
 	}
-	if !d.done() {
-		flags, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		s.Partial = flags&sumPartial != 0
+	flags, err := d.uvarint()
+	if err != nil {
+		return nil, err
 	}
+	s.Partial = flags&sumPartial != 0
 	return s, nil
 }

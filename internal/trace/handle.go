@@ -1,7 +1,7 @@
 package trace
 
 // Handle is the random-access view of one trace: opened cheaply (one
-// footer read for v3 files, one CRC-checked scan for v1/v2), it decodes
+// footer read, or one CRC-checked scan when the index is damaged), it decodes
 // epoch ranges and checkpoints on demand instead of materializing the
 // whole recording. Every consumer of stored traces — whole-program replay,
 // segment-parallel replay, batch analysis, the service daemon — works
@@ -155,8 +155,8 @@ func (h *Handle) Summary() *Summary { return h.sum }
 // Complete reports whether the trace ends with its summary frame.
 func (h *Handle) Complete() bool { return h.idx.complete }
 
-// Indexed reports whether the handle was opened from the v3 index footer
-// (false: built by scanning — v1/v2 files, damaged v3 index regions, and
+// Indexed reports whether the handle was opened from the index footer
+// (false: built by scanning — missing or damaged index regions, and
 // in-memory sources).
 func (h *Handle) Indexed() bool { return h.idx.footer }
 
@@ -253,7 +253,7 @@ func (h *Handle) ckptAt(k int) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	ck, err := decodeCheckpoint(payload, h.hdr.Version, k == 0)
+	ck, err := decodeCheckpoint(payload)
 	if err != nil {
 		return nil, err
 	}

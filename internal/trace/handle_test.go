@@ -92,7 +92,7 @@ func TestHandleLazySliceDecode(t *testing.T) {
 	}
 	defer h.Close()
 	if !h.Indexed() {
-		t.Fatal("v3 trace did not open through the footer")
+		t.Fatal("trace did not open through the footer")
 	}
 	if got := decodeProbe.epochs.Load(); got != before {
 		t.Fatalf("Open decoded %d epoch frames, want 0", got-before)

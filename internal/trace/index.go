@@ -1,6 +1,6 @@
 package trace
 
-// The format-v3 trace index: a footer frame mapping every epoch and
+// The trace index: a footer frame mapping every epoch and
 // checkpoint frame to its byte offset, payload length, and CRC, plus the
 // summary frame's location — so opening a trace for inventory (ls, job
 // validation) or random access (Handle.Epochs, Handle.CheckpointAt) costs
@@ -20,10 +20,10 @@ package trace
 // sequence numbers likewise. Flags carry the checkpoint frame's keyframe
 // bit so folding policy is known without decoding checkpoint payloads.
 //
-// Failure policy (the back-compat contract the corrupt-trace corpus pins):
-// a missing or unparseable index region — no trailer magic, torn index
-// frame, flipped index CRC — degrades to the sequential scan path, exactly
-// as a v1/v2 trace opens; an index that parses but lies — offsets past the
+// Failure policy (the salvage contract the corrupt-trace corpus pins): a
+// missing or unparseable index region — no trailer magic, torn index
+// frame, flipped index CRC, or a recorder killed before Finish — degrades
+// to the sequential scan path; an index that parses but lies — offsets past the
 // file's data region, non-monotonic offsets, or an offset that lands on a
 // frame of a different kind when fetched — is hard corruption.
 
@@ -71,8 +71,8 @@ type ckptRef struct {
 }
 
 // fileIndex is the random-access map of one trace file, built from the
-// footer (v3) or a one-time sequential scan (v1/v2, or v3 with a damaged
-// index region).
+// footer or, when the index region is missing or damaged, a one-time
+// sequential scan.
 type fileIndex struct {
 	epochs []epochRef
 	ckpts  []ckptRef
@@ -369,8 +369,8 @@ func loadFooterIndex(src io.ReaderAt, size int64) (*fileIndex, error) {
 }
 
 // scanIndex builds a fileIndex by walking every frame of the stream,
-// CRC-checking each — the v1/v2 open path, and the v3 salvage path when
-// the index region is damaged. Statistics come from frame-leading fields
+// CRC-checking each — the salvage path when the index region is missing
+// or damaged. Statistics come from frame-leading fields
 // (peekEpochMeta/peekCheckpointMeta); payloads are never fully decoded.
 func scanIndex(r io.Reader) (Header, *fileIndex, error) {
 	tr, err := NewReader(r)
@@ -403,7 +403,7 @@ func scanIndex(r io.Reader) (Header, *fileIndex, error) {
 			}
 			ix.epochs = append(ix.epochs, epochRef{frameRef: ref, seq: seq, events: events})
 		case frameCkpt:
-			epoch, keyframe, err := peekCheckpointMeta(payload, tr.hdr.Version, len(ix.ckpts) == 0)
+			epoch, keyframe, err := peekCheckpointMeta(payload)
 			if err != nil {
 				return Header{}, nil, err
 			}

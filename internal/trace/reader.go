@@ -159,12 +159,10 @@ func (r *Reader) readFrameBody() ([]byte, error) {
 	return payload, nil
 }
 
-// consumeTail polices the bytes after the summary end marker. v1/v2
-// streams must end exactly there — trailing data marks a corrupt or
-// tampered file. v3 streams normally carry the index frame and its
-// 12-byte trailer: a torn or CRC-damaged index region is ignored (the
-// trace salvages to its scanned pre-summary content, the same degrade
-// path a v2 file takes), while trailing content that is not an index
+// consumeTail polices the bytes after the summary end marker, where a
+// stream carries the index frame and its 12-byte trailer. A torn or
+// CRC-damaged index region is ignored (the trace salvages to its scanned
+// pre-summary content), while trailing content that is not an index
 // region — or content after a valid one — is corruption. The check
 // applies to finite inputs only (files, byte slices); probing an
 // unbounded stream (pipe, socket) would block Next on a live writer that
@@ -176,9 +174,6 @@ func (r *Reader) consumeTail() error {
 	rem := r.size - r.consumed
 	if rem == 0 {
 		return nil
-	}
-	if r.hdr.Version < 3 {
-		return fmt.Errorf("trace: %d trailing bytes after summary frame", rem)
 	}
 	kind, err := r.readByte()
 	if err != nil {
@@ -230,7 +225,7 @@ func (r *Reader) Next() (*record.EpochLog, error) {
 		case frameEpoch:
 			return decodeEpoch(payload)
 		case frameCkpt:
-			ck, err := decodeCheckpoint(payload, r.hdr.Version, len(r.cks) == 0)
+			ck, err := decodeCheckpoint(payload)
 			if err != nil {
 				return nil, err
 			}

@@ -137,8 +137,8 @@ func TestSegmentReplayAcrossWorkloads(t *testing.T) {
 	}
 }
 
-// TestSegmentReplayUncheckpointed: a trace without checkpoint frames (v1
-// recordings) degrades to a single whole-program segment.
+// TestSegmentReplayUncheckpointed: a trace without checkpoint frames
+// degrades to a single whole-program segment.
 func TestSegmentReplayUncheckpointed(t *testing.T) {
 	spec := scaledSpec(t, "streamcluster", 0.2)
 	opts := core.Options{Seed: 9}

@@ -113,7 +113,7 @@ type Entry struct {
 	Epochs int
 	Events int64
 	// Checkpoints counts the trace's checkpoint frames; Keyframes counts
-	// those carrying a full memory image (format v3 flags).
+	// those carrying a full memory image.
 	Checkpoints int
 	Keyframes   int
 	// Size is the file size in bytes.
@@ -121,7 +121,7 @@ type Entry struct {
 	// Complete reports whether the trace ends with its summary frame (false
 	// for a recording that was cut off).
 	Complete bool
-	// Indexed reports whether the statistics came from the v3 index footer
+	// Indexed reports whether the statistics came from the index footer
 	// (one footer read) rather than a whole-file scan.
 	Indexed bool
 	// Err is set when the file could not be opened (torn, corrupt, or
@@ -429,8 +429,7 @@ func (s *Store) Save(name string, tr *Trace) (string, error) {
 }
 
 // contentMark reads the cheap content fingerprint of an open trace file:
-// the header frame's stored CRC plus a tail sample. For indexed (v3)
-// files the tail is the 8 bytes preceding the trailer — the end of the
+// the header frame's stored CRC plus a tail sample. For indexed files the tail is the 8 bytes preceding the trailer — the end of the
 // index frame, whose CRC covers every other frame's CRC, so any content
 // change anywhere in the file changes the mark. For unindexed files the
 // tail is the file's final bytes (the last frame's CRC lives there). A
@@ -476,7 +475,7 @@ func contentMark(f io.ReaderAt, size int64) (contentKey, error) {
 }
 
 // Open returns a Handle on the named trace: one footer read for an indexed
-// (v3) file, one CRC-checked scan otherwise, no epoch decode either way.
+// file, one CRC-checked scan otherwise, no epoch decode either way.
 // The handle shares the store's frame cache with every other handle on the
 // same content; close it when done (file-backed handles hold a
 // descriptor).
@@ -570,9 +569,9 @@ func (s *Store) Entry(name string) (Entry, error) {
 	return e, nil
 }
 
-// List enumerates every trace in the store, sorted by name. Indexed (v3)
-// files cost one footer read each; older files are scanned frame by frame
-// (CRC-checked, statistics from frame headers). Nothing is decoded and the
+// List enumerates every trace in the store, sorted by name. Indexed files
+// cost one footer read each; files without an intact index are scanned
+// frame by frame (CRC-checked, statistics from frame headers). Nothing is decoded and the
 // replay cache is not populated. In-progress recordings (".partial" files)
 // and foreign files are skipped; torn traces degrade to entries carrying
 // their error.

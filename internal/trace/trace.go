@@ -11,53 +11,53 @@
 //	magic   := "IRTRACE1" (8 bytes)
 //	frame   := kind:1 len:uvarint payload:len crc32(payload):4 (LE, IEEE)
 //	kinds   := 1 header | 2 epoch | 3 summary (end marker) | 4 checkpoint
-//	           | 5 index (footer, format v3)
+//	           | 5 index (footer)
 //	trailer := indexOff:8 (LE) "IRX3"
 //
 // The header frame carries the format version, an application label, the
-// recorded module's fingerprint (tir.Fingerprint), and the recording
-// options that must match at replay time. Each epoch frame is one
-// record.EpochLog: per-thread event lists varint-encoded with per-field
-// delta compression (variable addresses, positions, and auxiliary values
-// change slowly within a thread's list), then per-variable order lists as
-// thread-ID deltas. The summary frame stores the recorded exit value and
-// program output, giving offline verification something to compare against;
-// a trace without one (recorder killed mid-run) still loads, up to its last
-// intact frame. Frames after the summary are a corruption error.
+// recorded module's fingerprint (tir.Fingerprint), the recording options
+// that must match at replay time, and a flags field whose compressed bit
+// declares a trace written with compression (Header.Compressed — the
+// store's hot/cold signal). Each epoch frame is one record.EpochLog:
+// per-thread event lists varint-encoded with per-field delta compression
+// (variable addresses, positions, and auxiliary values change slowly
+// within a thread's list), then per-variable order lists as thread-ID
+// deltas. The summary frame stores the recorded exit value and program
+// output, giving offline verification something to compare against, and a
+// flags field whose partial bit (Summary.Partial) marks a recording that
+// stopped before program end — a flight-recorder spill — whose exit and
+// output are not replay oracles. A trace without a summary (recorder
+// killed mid-run) still loads, up to its last intact frame. Frames after
+// the summary, other than the index region, are a corruption error.
 //
-// Format v2 adds the optional checkpoint frame (core.Checkpoint serialized):
-// the epoch-boundary state the runtime already captures — memory snapshot,
+// The optional checkpoint frame is a serialized core.Checkpoint: the
+// epoch-boundary state the runtime already captures — memory snapshot,
 // allocator metadata, vCPU contexts, shadow synchronization state, VFS
 // state — persisted at a configurable epoch interval. A checkpoint frame
 // precedes the epoch it begins, and its memory image is delta/zero-run
 // encoded against the previous checkpoint's (Trace.CheckpointStates folds
-// the chain back). Checkpoints split a long trace into independently
-// replayable segments (segment.go); v1 traces, which have none, still load.
-//
-// Format v3 adds random access: the writer closes the file with an index
-// footer frame (byte offsets, payload lengths, and CRCs of every epoch and
-// checkpoint frame, plus per-frame statistics) located by a fixed trailer,
-// so inventory scans and single-trace inspection cost one footer read, and
-// a Handle can decode exactly the epoch range or checkpoint a consumer
-// asks for (handle.go). Checkpoint frames gain a flags field whose
-// keyframe bit marks full-image frames (written every K checkpoints,
+// the chain back). A flags field leads the payload; its keyframe bit marks
+// a full-image frame (written every K checkpoints,
 // Writer.SetKeyframeEvery), bounding the fold to reach checkpoint k at K
-// deltas. A damaged index region degrades the file to the v2 scan path; an
-// index that parses but lies about the file is hard corruption.
-//
-// Format v4 adds seekable per-frame compression and suffix recordings.
-// A compressed epoch or checkpoint frame carries the frameCompressed bit
-// in its kind byte and stores a raw-length varint plus a deflate stream;
-// CRCs and index entries cover the stored bytes, so random access through
-// the footer is unchanged and decompression runs only after the checksum
-// passes (compress.go). The header gains a flags field whose compressed
-// bit declares a trace written with compression (Header.Compressed — the
-// store's hot/cold signal), and the summary gains a flags field whose
-// partial bit (Summary.Partial) marks a recording that stopped before
-// program end — a flight-recorder spill — whose exit and output are not
-// replay oracles. A trace may begin with a keyframe checkpoint at its
-// first epoch frame: such a suffix trace replays from the checkpoint
+// deltas. Checkpoints split a long trace into independently replayable
+// segments (segment.go). A trace may begin with a keyframe checkpoint at
+// its first epoch frame: such a suffix trace replays from the checkpoint
 // instead of program start (segment.go, batch.go).
+//
+// The writer closes the file with an index footer frame (byte offsets,
+// payload lengths, and CRCs of every epoch and checkpoint frame, plus
+// per-frame statistics) located by a fixed trailer, so inventory scans and
+// single-trace inspection cost one footer read, and a Handle can decode
+// exactly the epoch range or checkpoint a consumer asks for (handle.go).
+// A missing or damaged index region degrades the file to a sequential
+// scan (salvage); an index that parses but lies about the file is hard
+// corruption.
+//
+// Epoch and checkpoint frames may be compressed: such a frame carries the
+// frameCompressed bit in its kind byte and stores a raw-length varint plus
+// a deflate stream. CRCs and index entries cover the stored bytes, so
+// random access through the footer is unchanged and decompression runs
+// only after the checksum passes (compress.go).
 //
 // Writer streams epochs as the runtime flushes them (Writer.Sink plugs
 // directly into core.Options.TraceSink, Writer.CheckpointSink into
@@ -81,15 +81,9 @@ import (
 // version covers compatible revisions).
 const Magic = "IRTRACE1"
 
-// Version is the current header version. Version 2 added checkpoint
-// frames; version 3 added the index footer frame, the checkpoint flags
-// field (keyframe bit), and the keyframe interval; version 4 added
-// per-frame compression, header flags, and summary flags. v1–v3 traces
-// load unchanged through their original paths.
+// Version is the header version the writer emits and the only one the
+// reader accepts; any other version is refused as unsupported.
 const Version = 4
-
-// MinVersion is the oldest header version the reader accepts.
-const MinVersion = 1
 
 // Frame kinds.
 const (
@@ -105,8 +99,7 @@ const (
 // structure to reproduce.
 type Header struct {
 	// Version is the format version the stream declared. It is set on
-	// decode and ignored on encode — writers always write the current
-	// Version.
+	// decode and ignored on encode — writers always write Version.
 	Version int
 	// App is a free-form application label (workload name for the bundled
 	// apps).
@@ -124,8 +117,8 @@ type Header struct {
 	// recorder exposes, stored so replay can rebuild the exact module
 	// instead of searching for a fingerprint match.
 	AppIters int
-	// Compressed declares a trace written with per-frame compression
-	// (format v4): epoch and checkpoint bodies that shrink are stored
+	// Compressed declares a trace written with per-frame compression:
+	// epoch and checkpoint bodies that shrink are stored
 	// deflated. Set it before NewWriter to enable compression; on decode
 	// it is the store's cheap hot/cold classification — no frame needs to
 	// be touched to know a trace has been compacted.
@@ -137,7 +130,7 @@ type Header struct {
 type Summary struct {
 	Exit   uint64
 	Output string
-	// Partial (format v4) marks a recording that ended before the program
+	// Partial marks a recording that ended before the program
 	// did — a flight-recorder spill on demand or signal, or a salvaged
 	// crash ring. Exit and Output are then not oracles: replay consumes
 	// the recorded events and verifies schedule reproduction, but skips
@@ -156,8 +149,7 @@ type Checkpoint struct {
 	State *core.Checkpoint
 	// Keyframe marks a frame whose memory delta was encoded against the
 	// empty image (a full snapshot): the fold base readers restart from.
-	// The writer emits one every K checkpoints (Writer.SetKeyframeEvery);
-	// in v2 traces only the chain's first checkpoint is one.
+	// The writer emits one every K checkpoints (Writer.SetKeyframeEvery).
 	Keyframe bool
 	// memDelta is the raw delta/zero-run encoding of the memory image
 	// against the previous checkpoint's (the empty image for keyframes).
@@ -173,7 +165,7 @@ type Trace struct {
 	Epochs  []*record.EpochLog
 	Summary *Summary
 	// Checkpoints are the trace's checkpoint frames in file order (empty for
-	// v1 traces or recordings without checkpointing).
+	// recordings without checkpointing).
 	Checkpoints []*Checkpoint
 }
 

@@ -2,8 +2,9 @@ package vet
 
 // obsconst: every metric the repo registers must be declared in the
 // internal/obs catalog and pass the shared static lint rules at compile
-// time. At each Registry.New{Counter,Gauge,GaugeFunc,Histogram}{,Vec} call
-// site the analyzer requires
+// time. At each registry constructor call site — New{Counter,Histogram}{,Vec}
+// and the collector forms New{Counter,Gauge}{,Vec}Func — the analyzer
+// requires
 //
 //   - the name argument to be a compile-time string constant,
 //   - that constant to be one of the exported M* catalog constants the obs
@@ -32,13 +33,14 @@ var registryCtors = map[string]struct {
 	kind     string
 	labelArg int
 }{
-	"NewCounter":      {obs.KindCounter, -1},
-	"NewCounterVec":   {obs.KindCounter, 2},
-	"NewGauge":        {obs.KindGauge, -1},
-	"NewGaugeFunc":    {obs.KindGauge, -1},
-	"NewGaugeVec":     {obs.KindGauge, 2},
-	"NewHistogram":    {obs.KindHistogram, -1},
-	"NewHistogramVec": {obs.KindHistogram, 2},
+	"NewCounter":        {obs.KindCounter, -1},
+	"NewCounterFunc":    {obs.KindCounter, -1},
+	"NewCounterVec":     {obs.KindCounter, 2},
+	"NewCounterVecFunc": {obs.KindCounter, 2},
+	"NewGaugeFunc":      {obs.KindGauge, -1},
+	"NewGaugeVecFunc":   {obs.KindGauge, 2},
+	"NewHistogram":      {obs.KindHistogram, -1},
+	"NewHistogramVec":   {obs.KindHistogram, 2},
 }
 
 // NewObsConst returns the metric-catalog analyzer. obsPkgSuffix identifies

@@ -5,11 +5,14 @@ package obs
 
 type Registry struct{}
 
-func (r *Registry) NewCounter(name, help string) int           { return 0 }
-func (r *Registry) NewCounterVec(name, help, label string) int { return 0 }
-func (r *Registry) NewGauge(name, help string) int             { return 0 }
-func (r *Registry) NewGaugeVec(name, help, label string) int   { return 0 }
-func (r *Registry) NewHistogram(name, help string) int         { return 0 }
+func (r *Registry) NewCounter(name, help string) int                        { return 0 }
+func (r *Registry) NewCounterVec(name, help, label string) int              { return 0 }
+func (r *Registry) NewCounterFunc(name, help string, fn func() float64) int { return 0 }
+func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) int   { return 0 }
+func (r *Registry) NewGaugeVecFunc(name, help, label string, fn func() map[string]float64) int {
+	return 0
+}
+func (r *Registry) NewHistogram(name, help string) int { return 0 }
 
 const (
 	MRuns    = "fixture_runs_total"

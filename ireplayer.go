@@ -121,7 +121,7 @@ var PrepareReplay = core.PrepareReplay
 // setup + RunReplay.
 var ReplayFromTrace = core.ReplayFromTrace
 
-// Checkpoint is a persisted epoch-boundary checkpoint (trace format v2):
+// Checkpoint is a persisted epoch-boundary checkpoint (a trace checkpoint frame):
 // the memory snapshot, allocator metadata, vCPU contexts, shadow
 // synchronization state, and filesystem state the runtime captures at every
 // epoch begin, exported so one long trace becomes independently replayable
